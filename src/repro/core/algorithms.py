@@ -1103,15 +1103,14 @@ class FaultInjectionAlgorithms:
         return schedule
 
     def _apply_scan_fault(self, fault: PlannedFault, cycle: int, seed: int) -> None:
-        """readScanChain / injectFault / writeScanChain for transients;
-        overlay installation for permanent and intermittent models."""
+        """readScanChain / injectFault / writeScanChain for transients
+        (through the target's :meth:`flip_scan_bit`); overlay
+        installation for permanent and intermittent models."""
         location = fault.location
         if location.kind != KIND_SCAN:
             raise TargetError(f"scan injection got {location.label()}")
         if is_transient(fault.model):
-            self.target.read_scan_chain(location.chain)
-            self.target.inject_fault(location)
-            self.target.write_scan_chain(location.chain)
+            self.target.flip_scan_bit(location)
         else:
             self.target.install_fault_overlay(location, fault.model, seed)
 

@@ -278,6 +278,20 @@ class TargetSystemInterface(abc.ABC):
             raise TargetError(f"scan chain {chain!r} not captured; nothing to write")
         self._scan_write_raw(chain, self._scan_buffers[chain])
 
+    def flip_scan_bit(self, location: Location) -> None:
+        """Invert one scan bit in the target: a transient fault.
+
+        The default is the paper's three steps, :meth:`read_scan_chain`,
+        :meth:`inject_fault`, :meth:`write_scan_chain`.  A target that
+        can address a single element overrides this with a
+        read-modify-write of that element alone — valid only when a
+        full write-back leaves every other element unchanged, so the
+        two are indistinguishable to the workload and to any later
+        observation."""
+        self.read_scan_chain(location.chain)
+        self.inject_fault(location)
+        self.write_scan_chain(location.chain)
+
     # ------------------------------------------------------------------
     # Target metadata
     # ------------------------------------------------------------------

@@ -56,8 +56,9 @@ class ScanChain:
             self._offsets[element.name] = position
         # Precomputed shift plans: full-chain dump/restore loops over
         # plain (closure, mask, offset) tuples instead of re-deriving
-        # masks and offsets per element on every shift.  Shift timing is
-        # what bounds SCIFI experiment rate, so this path is hot.
+        # masks and offsets per element on every shift.  SCIFI bit flips
+        # address one element instead (see :meth:`flip_bit`); these
+        # plans serve the paper's explicit read/write protocol.
         self._read_plan: list[tuple[Callable[[], int], int, int]] = [
             (e.getter, (1 << e.width) - 1, self._offsets[e.name])
             for e in self.elements
@@ -133,6 +134,20 @@ class ScanChain:
         """
         for setter, mask, offset in self._write_plan:
             setter((value >> offset) & mask)
+
+    def flip_bit(self, name: str, bit: int) -> None:
+        """Invert ``bit`` of element ``name`` in place.
+
+        Observably the same as :meth:`read`, inverting the bit's chain
+        position and :meth:`write`, because a shift-in writes every
+        other element its own masked value and the targets' setters
+        leave state unchanged on such a write.  A read-only element is
+        left alone, as a shift-in skips it; the bit is validated the
+        same way :meth:`bit_position` does."""
+        self.bit_position(name, bit)
+        element = self._by_name[name]
+        if element.setter is not None:
+            element.setter((element.getter() & element.mask) ^ (1 << bit))
 
     def read_element(self, name: str) -> int:
         return self.element(name).getter()

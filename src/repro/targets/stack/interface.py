@@ -61,6 +61,13 @@ def _attr_element(machine: StackMachine, name: str, attr: str, width: int,
     return ScanElement(name, width, getter=lambda: getattr(machine, attr), setter=setter)
 
 
+def _set_port(ports: dict[int, int], port: int, value: int) -> None:
+    # An unset latch reads 0; writing it 0 must not create the entry, or
+    # a chain shift-in would change state it only rewrote.
+    if value != ports.get(port, 0):
+        ports[port] = value
+
+
 def build_stack_chains(machine: StackMachine) -> dict[str, ScanChain]:
     """Scan chains of THOR-SM: every stack cell and its parity bit, the
     stack pointers, PC, cycle counter (read-only), and the port pins."""
@@ -83,7 +90,7 @@ def build_stack_chains(machine: StackMachine) -> dict[str, ScanChain]:
                 f"pins.IN{port}",
                 32,
                 getter=lambda p=port: machine.input_ports.get(p, 0),
-                setter=lambda value, p=port: machine.input_ports.__setitem__(p, value),
+                setter=lambda value, p=port: _set_port(machine.input_ports, p, value),
             )
         )
         boundary.append(
@@ -91,7 +98,7 @@ def build_stack_chains(machine: StackMachine) -> dict[str, ScanChain]:
                 f"pins.OUT{port}",
                 32,
                 getter=lambda p=port: machine.output_ports.get(p, 0),
-                setter=lambda value, p=port: machine.output_ports.__setitem__(p, value),
+                setter=lambda value, p=port: _set_port(machine.output_ports, p, value),
             )
         )
     return {
@@ -235,6 +242,21 @@ class StackTargetInterface(TargetSystemInterface):
             self.chains[chain].write(value)
         except KeyError:
             raise TargetError(f"thor-sm has no scan chain {chain!r}") from None
+
+    def flip_scan_bit(self, location: Location) -> None:
+        # Every chain setter leaves state unchanged when written its own
+        # value, so flipping the one element is the full read/inject/
+        # write as observed.
+        try:
+            chain = self.chains[location.chain]
+        except KeyError:
+            raise TargetError(
+                f"thor-sm has no scan chain {location.chain!r}"
+            ) from None
+        try:
+            chain.flip_bit(location.element, location.bit)
+        except (KeyError, ValueError) as exc:
+            raise TargetError(str(exc)) from exc
 
     # ------------------------------------------------------------------
     # Metadata

@@ -187,6 +187,8 @@ class StackMachine:
     def _dpop(self) -> int:
         if self.dsp <= 0:
             raise _Detected("stack_bounds", "data stack underflow")
+        if self.dsp > DATA_STACK_CELLS:  # a corrupted pointer
+            raise _Detected("stack_bounds", "data stack pointer out of range")
         self.dsp -= 1
         value = self.dstack[self.dsp]
         if _parity(value) != self.dparity[self.dsp]:
@@ -206,6 +208,8 @@ class StackMachine:
     def _rpop(self) -> int:
         if self.rsp <= 0:
             raise _Detected("stack_bounds", "return stack underflow")
+        if self.rsp > RETURN_STACK_CELLS:  # a corrupted pointer
+            raise _Detected("stack_bounds", "return stack pointer out of range")
         self.rsp -= 1
         value = self.rstack[self.rsp]
         if _parity(value) != self.rparity[self.rsp]:

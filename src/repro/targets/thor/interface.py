@@ -202,6 +202,16 @@ class ThorTargetInterface(TargetSystemInterface):
         except KeyError as exc:
             raise TargetError(str(exc)) from exc
 
+    def flip_scan_bit(self, location: Location) -> None:
+        # Every chain setter leaves state unchanged when written its own
+        # value, so flipping the one element is the full read/inject/
+        # write as observed.
+        try:
+            chain = self.card.scan_chain(location.chain)
+            chain.flip_bit(location.element, location.bit)
+        except (KeyError, ValueError) as exc:
+            raise TargetError(str(exc)) from exc
+
     # ------------------------------------------------------------------
     # Metadata
     # ------------------------------------------------------------------

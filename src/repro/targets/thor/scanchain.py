@@ -135,7 +135,10 @@ def build_boundary_chain(cpu: ThorCPU) -> ScanChain:
             return cpu.input_ports.get(p, 0)
 
         def in_setter(value: int, p: int = port) -> None:
-            cpu.input_ports[p] = value
+            # An unset latch reads 0; writing it 0 must not create the
+            # entry, or a shift-in would change state it only rewrote.
+            if value != cpu.input_ports.get(p, 0):
+                cpu.input_ports[p] = value
 
         elements.append(ScanElement(f"pins.IN{port}", 32, in_getter, in_setter))
     for port in BOUNDARY_PORTS:
@@ -144,7 +147,8 @@ def build_boundary_chain(cpu: ThorCPU) -> ScanChain:
             return cpu.output_ports.get(p, 0)
 
         def out_setter(value: int, p: int = port) -> None:
-            cpu.output_ports[p] = value
+            if value != cpu.output_ports.get(p, 0):
+                cpu.output_ports[p] = value
 
         elements.append(ScanElement(f"pins.OUT{port}", 32, out_getter, out_setter))
     elements.append(_attr_element(cpu, "pins.ABUS", "mar", 16, writable=False))

@@ -209,6 +209,51 @@ class TestMachineEdms:
         assert machine.detection["mechanism"] == "rstack_parity"
 
 
+class TestCorruptedStackPointers:
+    """A scan flip can push DSP (5 bits over 16 cells) or RSP (4 bits
+    over 8 cells) past its stack; the next pop must be a stack_bounds
+    detection, never a host-side exception."""
+
+    @pytest.mark.parametrize("fast", [True, False], ids=["fast", "reference"])
+    @pytest.mark.parametrize(
+        "source,attr,value",
+        [
+            ("PUSHI 5\nNOP\nDROP\nHALT", "dsp", 17),
+            ("PUSHI 5\nNOP\nDROP\nHALT", "dsp", 31),
+            ("CALL sub\nHALT\nsub:\nNOP\nNOP\nRET", "rsp", 9),
+            ("CALL sub\nHALT\nsub:\nNOP\nNOP\nRET", "rsp", 15),
+        ],
+    )
+    def test_out_of_range_pointer_is_detected(self, fast, source, attr, value):
+        machine = StackMachine()
+        machine.fast = fast
+        program = s_assemble(source)
+        machine.load_image(0, program.program)
+        machine.reset()
+        assert machine.run(1000, stop_at_cycle=2) == "cycle_break"
+        setattr(machine, attr, value)
+        assert machine.run(1000) == "detected"
+        assert machine.detection["mechanism"] == "stack_bounds"
+        assert "out of range" in machine.detection["detail"]
+
+    @pytest.mark.parametrize("fast", [True, False], ids=["fast", "reference"])
+    @pytest.mark.parametrize("element,bit", [("ctrl.DSP", 4), ("ctrl.RSP", 3)])
+    def test_scan_flip_of_pointer_mid_run(self, fast, element, bit):
+        target = StackTargetInterface()
+        target.set_fast_path(fast)
+        target.init_test_card()
+        target.load_workload("s_checksum")
+        target.run_workload()
+        # At cycle 8 both flips leave the pointer past its stack.
+        assert target.wait_for_breakpoint(8) is None
+        target.flip_scan_bit(
+            Location(kind="scan", chain="internal", element=element, bit=bit)
+        )
+        info = target.wait_for_termination(TERM)
+        assert info.outcome == "error_detected"
+        assert info.detection["mechanism"] == "stack_bounds"
+
+
 class TestAssembler:
     def test_unknown_mnemonic(self):
         with pytest.raises(SAssemblerError, match="unknown mnemonic"):
@@ -318,6 +363,23 @@ class TestCampaignOnStackTarget:
             classification = session.classify("sm")
             assert classification.total == 60
             assert classification.effective > 0
+
+    @pytest.mark.parametrize("checkpoints", [False, True])
+    def test_internal_scifi_campaign_completes(self, checkpoints):
+        """Flips into ctrl.DSP/ctrl.RSP must end as detections, not
+        abort the campaign."""
+        with GoofiSession(target_name="thor-sm") as session:
+            session.setup_campaign(CampaignConfig(
+                name="sm", target="thor-sm", technique="scifi",
+                workload="s_checksum", location_patterns=("internal:*",),
+                num_experiments=2000, seed=11,
+                termination=session.default_termination("s_checksum"),
+                observation=session.default_observation("s_checksum"),
+            ))
+            result = session.run_campaign("sm", checkpoints=checkpoints)
+            assert not result.aborted
+            assert result.experiments_run == 2000
+            assert session.db.load_campaign("sm").status == "completed"
 
     def test_swifi_preruntime_on_stack_target(self):
         with GoofiSession(target_name="thor-sm") as session:
