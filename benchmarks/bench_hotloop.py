@@ -23,6 +23,7 @@ import time
 from conftest import build_campaign, write_result
 
 from repro.targets.stack import StackMachine, s_load
+from repro.targets.statebuf import words_from
 from repro.targets.thor import TestCard, TerminationCondition
 from repro.workloads import load
 
@@ -66,9 +67,10 @@ def stack_rate(fast: bool) -> float:
     machine = StackMachine()
     machine.fast = fast
     program = s_load("s_fib")
+    image = words_from(program.program)
 
     def one_run() -> int:
-        machine.memory[: len(program.program)] = program.program
+        machine.memory[: len(image)] = image
         for offset, word in enumerate(program.data):
             machine.memory[program.data_base + offset] = word
         machine.reset(program.entry_point)

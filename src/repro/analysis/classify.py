@@ -27,10 +27,13 @@ overwritten.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..core.errors import AnalysisError
+from ..core.locations import Location
 from ..db import ExperimentRecord, GoofiDatabase, reference_name
 
 CATEGORY_DETECTED = "detected"
@@ -85,21 +88,32 @@ def _comparable_state(state: dict) -> dict[str, int]:
     return flat
 
 
-def state_difference(reference: dict, observed: dict) -> tuple[str, ...]:
+def state_difference(
+    reference: dict, observed: dict, reference_flat: dict | None = None
+) -> tuple[str, ...]:
     """Keys whose values differ between two captured states (symmetric:
-    a key missing on either side counts as differing)."""
-    ref_flat = _comparable_state(reference)
+    a key missing on either side counts as differing).
+
+    Equal ``scan`` and ``memory`` dicts differ nowhere, so only unequal
+    states are flattened; ``reference_flat`` is the reference already
+    flattened, for callers comparing many states against one.
+    """
+    if (reference.get("scan") == observed.get("scan")
+            and reference.get("memory") == observed.get("memory")):
+        return ()
+    ref_flat = _comparable_state(reference) if reference_flat is None else reference_flat
     obs_flat = _comparable_state(observed)
-    keys = set(ref_flat) | set(obs_flat)
+    keys = ref_flat.keys() | obs_flat.keys()
     return tuple(sorted(k for k in keys if ref_flat.get(k) != obs_flat.get(k)))
 
 
 def classify_experiment(
-    reference_state: dict, record: ExperimentRecord
+    reference_state: dict, record: ExperimentRecord, reference_flat: dict | None = None
 ) -> Classification:
     """Classify one experiment against the campaign's reference state.
 
-    ``reference_state`` is the reference row's ``stateVector``.
+    ``reference_state`` is the reference row's ``stateVector``;
+    ``reference_flat`` optionally its final state, already flattened.
     """
     state_vector = record.state_vector
     try:
@@ -131,8 +145,9 @@ def classify_experiment(
             f"experiment {record.experiment_name!r} has unknown outcome {outcome!r}"
         )
 
-    differing = state_difference(ref_final, final)
-    if _output_values(final) != _output_values(ref_final):
+    differing = state_difference(ref_final, final, reference_flat)
+    if (final.get("outputs") != ref_final.get("outputs")
+            and _output_values(final) != _output_values(ref_final)):
         return Classification(
             experiment_name=record.experiment_name,
             category=CATEGORY_ESCAPED,
@@ -219,16 +234,117 @@ class CampaignClassification:
         }
 
 
-def classify_campaign(db: GoofiDatabase, campaign_name: str) -> CampaignClassification:
-    """Classify every experiment of a campaign against its reference."""
-    reference = db.load_experiment(reference_name(campaign_name))
-    result = CampaignClassification(campaign_name=campaign_name)
+class InjectedFault(NamedTuple):
+    """One logged fault.  Names are interned: one copy for all rows."""
+
+    element: str
+    bit: int
+    cycle: int
+    applied: bool
+    model: str
+
+    @classmethod
+    def of(cls, fault: dict) -> "InjectedFault":
+        location = Location.from_dict(fault["location"])
+        return cls(
+            sys.intern(location.element_key),
+            location.bit,
+            int(fault["injection_cycle"]),
+            bool(fault.get("applied", False)),
+            sys.intern((fault.get("model") or {}).get("model", "")),
+        )
+
+
+@dataclass(frozen=True, slots=True)
+class ExperimentFacts:
+    """One logged row reduced to what the analysis views read: its
+    verdict, its faults and its termination record.  The observed state,
+    the bulk of a row, is not kept."""
+
+    experiment_name: str
+    #: ``None`` for a row :func:`classify_campaign` does not classify.
+    verdict: Classification | None
+    technique: str
+    index: int | None
+    faults: tuple[InjectedFault, ...]
+    outcome: str
+    end_cycle: int | None
+    iteration: int | None
+    #: The detecting mechanism and the detection's cycle (``None`` when
+    #: the detection event carries none); meaningful for detected rows.
+    mechanism: str | None
+    detection_cycle: int | None
+
+    @classmethod
+    def of(cls, record: ExperimentRecord, verdict: Classification | None = None):
+        data = record.experiment_data
+        termination = record.state_vector.get("termination", {})
+        detection = termination.get("detection") or {}
+        return cls(
+            record.experiment_name,
+            verdict,
+            sys.intern(data.get("technique", "")),
+            data.get("index"),
+            tuple(InjectedFault.of(fault) for fault in data.get("faults") or ()),
+            sys.intern(termination.get("outcome") or ""),
+            termination.get("cycle"),
+            termination.get("iteration"),
+            detection.get("mechanism", "unknown"),
+            None if detection.get("cycle") is None else int(detection["cycle"]),
+        )
+
+
+@dataclass(frozen=True, slots=True)
+class CampaignPass:
+    """Every non-reference row of one campaign, classified in one
+    streaming pass.  Shared by every analysis view; never mutated."""
+
+    rows: tuple[ExperimentFacts, ...]
+    #: What classifying the campaign raised (a missing reference, a
+    #: malformed row); raised again by :meth:`classified`.
+    error: Exception | None = None
+
+    def classified(self) -> list[ExperimentFacts]:
+        """The classified rows in logging order."""
+        if self.error is not None:
+            raise self.error
+        return [row for row in self.rows if row.verdict is not None]
+
+
+def _scan_campaign(db: GoofiDatabase, campaign_name: str) -> CampaignPass:
+    # A classification error is kept, not raised: it fails the views
+    # that need verdicts, while latencies still need every row's facts.
+    reference = error = None
+    try:
+        reference = db.load_experiment(reference_name(campaign_name))
+        reference_flat = _comparable_state(reference.state_vector.get("final", {}))
+    except Exception as exc:
+        error = exc
+    rows = []
     for record in db.iter_experiments(campaign_name):
-        if record.experiment_name == reference.experiment_name:
-            continue
         if record.experiment_data.get("technique") == "reference":
             continue
-        result.classifications.append(
-            classify_experiment(reference.state_vector, record)
-        )
-    return result
+        verdict = None
+        if error is None and record.experiment_name != reference.experiment_name:
+            try:
+                verdict = classify_experiment(
+                    reference.state_vector, record, reference_flat
+                )
+            except Exception as exc:
+                error = exc
+        rows.append(ExperimentFacts.of(record, verdict))
+    return CampaignPass(tuple(rows), error)
+
+
+def campaign_pass(db: GoofiDatabase, campaign_name: str) -> CampaignPass:
+    """The campaign's single analysis pass, memoised on ``db`` until
+    the stored data changes (:meth:`GoofiDatabase.memoised`)."""
+    return db.memoised(campaign_name, lambda: _scan_campaign(db, campaign_name))
+
+
+def classify_campaign(db: GoofiDatabase, campaign_name: str) -> CampaignClassification:
+    """Classify every experiment of a campaign against its reference."""
+    return CampaignClassification(
+        campaign_name,
+        [row.verdict for row in campaign_pass(db, campaign_name).classified()],
+    )

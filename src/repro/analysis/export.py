@@ -14,7 +14,7 @@ from pathlib import Path
 
 from ..core.errors import AnalysisError
 from ..db import GoofiDatabase
-from .classify import classify_campaign
+from .classify import campaign_pass
 from .latency import _latency_of
 
 #: Column order of the export (stable: external scripts key on it).
@@ -40,44 +40,27 @@ COLUMNS = [
 
 def export_rows(db: GoofiDatabase, campaign_name: str) -> list[dict]:
     """The export as dictionaries (one per experiment)."""
-    verdicts = {
-        c.experiment_name: c
-        for c in classify_campaign(db, campaign_name).classifications
-    }
     rows: list[dict] = []
-    for record in db.iter_experiments(campaign_name):
-        if record.experiment_data.get("technique") == "reference":
-            continue
-        verdict = verdicts.get(record.experiment_name)
-        if verdict is None:
-            continue
-        faults = record.experiment_data.get("faults", [])
-        first = faults[0] if faults else {}
-        location = first.get("location", {})
-        if location.get("kind") == "scan":
-            location_label = f"{location.get('chain')}:{location.get('element')}"
-        elif location.get("kind") == "memory":
-            location_label = f"memory:0x{int(location.get('address', 0)):04X}"
-        else:
-            location_label = ""
-        termination = record.state_vector.get("termination", {})
-        latency_sample = _latency_of(record)
+    for row in campaign_pass(db, campaign_name).classified():
+        verdict = row.verdict
+        first = row.faults[0] if row.faults else None
+        latency_sample = _latency_of(row)
         rows.append(
             {
-                "experiment": record.experiment_name,
-                "index": record.experiment_data.get("index", ""),
-                "technique": record.experiment_data.get("technique", ""),
-                "location": location_label,
-                "bit": location.get("bit", ""),
-                "model": (first.get("model") or {}).get("model", ""),
-                "injection_cycle": first.get("injection_cycle", ""),
-                "applied": int(bool(first.get("applied", False))),
-                "outcome": termination.get("outcome", ""),
+                "experiment": row.experiment_name,
+                "index": "" if row.index is None else row.index,
+                "technique": row.technique,
+                "location": first.element if first else "",
+                "bit": first.bit if first else "",
+                "model": first.model if first else "",
+                "injection_cycle": first.cycle if first else "",
+                "applied": int(bool(first and first.applied)),
+                "outcome": row.outcome,
                 "category": verdict.category,
                 "mechanism": verdict.mechanism or "",
                 "escape_kind": verdict.escape_kind or "",
-                "termination_cycle": termination.get("cycle", ""),
-                "iterations": termination.get("iteration", ""),
+                "termination_cycle": row.end_cycle,
+                "iterations": row.iteration,
                 "detection_latency": latency_sample.latency if latency_sample else "",
                 "differing_keys": ";".join(verdict.differing_keys),
             }

@@ -78,20 +78,21 @@ class GateResult:
         }
 
 
+#: Latency statistics by the key a bound or a run summary names them.
+LATENCY_STATISTICS = {
+    "mean": lambda statistics: statistics.mean,
+    "p50": lambda statistics: statistics.median,
+    "p90": lambda statistics: statistics.percentile(90),
+    "p95": lambda statistics: statistics.percentile(95),
+    "p99": lambda statistics: statistics.percentile(99),
+    "max": lambda statistics: statistics.maximum,
+}
+
+
 def _latency_statistic(statistics: LatencyStatistics, key: str) -> float:
-    if key == "p50":
-        return statistics.median
-    if key == "p90":
-        return statistics.percentile(90)
-    if key == "p95":
-        return statistics.percentile(95)
-    if key == "p99":
-        return statistics.percentile(99)
-    if key == "mean":
-        return statistics.mean
-    if key == "max":
-        return statistics.maximum
-    raise AnalysisError(f"unknown latency statistic {key!r}")
+    if key not in LATENCY_STATISTICS:
+        raise AnalysisError(f"unknown latency statistic {key!r}")
+    return LATENCY_STATISTICS[key](statistics)
 
 
 def count_critical_failures(
@@ -148,60 +149,44 @@ def evaluate_gate(
     if bounds.min_coverage is not None:
         coverage = detection_coverage(classify_campaign(db, campaign_name))
         basis = coverage.ci_low if bounds.coverage_basis == "ci_low" else coverage.estimate
-        if math.isnan(basis):
-            checks.append(
-                BoundCheck(
-                    bound="min_coverage",
-                    limit=bounds.min_coverage,
-                    measured=float("nan"),
-                    passed=False,
-                    detail="no effective errors to estimate coverage from",
-                )
+        unmeasured = math.isnan(basis)
+        checks.append(
+            BoundCheck(
+                bound="min_coverage",
+                limit=bounds.min_coverage,
+                measured=basis,
+                passed=not unmeasured and basis >= bounds.min_coverage,
+                detail=(
+                    "no effective errors to estimate coverage from" if unmeasured
+                    else f"{bounds.coverage_basis} of {coverage} "
+                    f"at {coverage.confidence:.0%} confidence"
+                ),
             )
-        else:
-            checks.append(
-                BoundCheck(
-                    bound="min_coverage",
-                    limit=bounds.min_coverage,
-                    measured=basis,
-                    passed=basis >= bounds.min_coverage,
-                    detail=(
-                        f"{bounds.coverage_basis} of {coverage} "
-                        f"at {coverage.confidence:.0%} confidence"
-                    ),
-                )
-            )
+        )
     if bounds.max_latency:
         statistics = detection_latencies(db, campaign_name)
         for key in sorted(bounds.max_latency):
             ceiling = float(bounds.max_latency[key])
             measured = _latency_statistic(statistics, key)
-            if math.isnan(measured):
-                # Zero usable latency samples.  A latency ceiling bounds
-                # how slow detections are allowed to be, so with no
-                # detections nothing exceeded it: explicit PASS, with
-                # the NaN surfaced in the report.  Whether detections
-                # must exist at all is min_coverage's job (which fails
-                # on the analogous NaN) — see docs/packs.md.
-                checks.append(
-                    BoundCheck(
-                        bound=f"max_latency.{key}",
-                        limit=ceiling,
-                        measured=float("nan"),
-                        passed=True,
-                        detail="no detection latencies recorded",
-                    )
+            # NaN: zero usable latency samples.  A latency ceiling bounds
+            # how slow detections are allowed to be, so with no
+            # detections nothing exceeded it: explicit PASS, with the NaN
+            # surfaced in the report.  Whether detections must exist at
+            # all is min_coverage's job (which fails on the analogous
+            # NaN) — see docs/packs.md.
+            unmeasured = math.isnan(measured)
+            checks.append(
+                BoundCheck(
+                    bound=f"max_latency.{key}",
+                    limit=ceiling,
+                    measured=measured,
+                    passed=unmeasured or measured <= ceiling,
+                    detail=(
+                        "no detection latencies recorded" if unmeasured
+                        else f"over {statistics.count} detections (cycles)"
+                    ),
                 )
-            else:
-                checks.append(
-                    BoundCheck(
-                        bound=f"max_latency.{key}",
-                        limit=ceiling,
-                        measured=measured,
-                        passed=measured <= ceiling,
-                        detail=f"over {statistics.count} detections (cycles)",
-                    )
-                )
+            )
     if bounds.max_critical_failures is not None:
         if environment is None:
             raise AnalysisError(

@@ -30,6 +30,7 @@ from .latency import detection_latencies
 from .measures import detection_coverage
 from .probes_report import edm_coverage, infection_percentiles, load_probe_payloads
 from .telemetry_report import _fmt_bytes, _fmt_secs, phase_breakdown, resource_summary
+from .trends import summary_value
 
 #: Section ids in render order — also the anchor targets of the nav bar.
 SECTION_IDS = (
@@ -264,8 +265,7 @@ def _table(headers: list[str], rows: list[list[str]],
 def _section_overview(db: GoofiDatabase, name: str) -> str:
     record = db.load_campaign(name)
     config = record.config
-    classification = classify_campaign(db, name)
-    coverage = detection_coverage(classification)
+    coverage = detection_coverage(classify_campaign(db, name))
     fault_model = config.get("fault_model", {})
     rows = [
         ["workload", escape(str(config.get("workload", "?")))],
@@ -463,15 +463,7 @@ def _section_trends(db: GoofiDatabase, name: str) -> str:
     summaries = [record.summary for record in records]
 
     def track(*path):
-        values = []
-        for summary in summaries:
-            node = summary
-            for key in path:
-                node = node.get(key) if isinstance(node, dict) else None
-                if node is None:
-                    break
-            values.append(node)
-        return values
+        return [summary_value(summary, *path) for summary in summaries]
 
     metrics = [
         ("coverage estimate", track("coverage", "estimate"), "{:.1%}"),
@@ -614,11 +606,8 @@ def render_index(db: GoofiDatabase) -> str:
         record = db.load_campaign(name)
         experiments = db.count_experiments(name)
         try:
-            classification = classify_campaign(db, name)
-            coverage = detection_coverage(classification)
-            detected = (
-                f"{coverage.estimate:.1%}" if coverage.trials else "n/a"
-            )
+            coverage = detection_coverage(classify_campaign(db, name))
+            detected = f"{coverage.estimate:.1%}" if coverage.trials else "n/a"
         except Exception:
             detected = "n/a"
         history = [record.summary for record in db.iter_history(name)]

@@ -20,6 +20,7 @@ import numpy as np
 
 from ..core.errors import AnalysisError
 from ..db import ExperimentRecord, GoofiDatabase
+from .classify import ExperimentFacts, campaign_pass
 
 
 class MissingDetectionCycle(AnalysisError):
@@ -103,9 +104,11 @@ class LatencyStatistics:
         ]
 
 
-def _latency_of(record: ExperimentRecord, strict: bool = False) -> LatencySample | None:
-    """The latency sample of one record, or ``None`` for records that
-    carry no latency (not detected, or no applied fault).
+def _latency_of(
+    record: ExperimentRecord | ExperimentFacts, strict: bool = False
+) -> LatencySample | None:
+    """The latency sample of one row, or ``None`` for rows that carry
+    no latency (not detected, or no applied fault).
 
     A detected record whose detection event has no cycle cannot yield a
     sample either: returning the injection cycle instead would fabricate
@@ -113,24 +116,22 @@ def _latency_of(record: ExperimentRecord, strict: bool = False) -> LatencySample
     :class:`MissingDetectionCycle` under ``strict`` and are skipped
     (``None``) otherwise.
     """
-    termination = record.state_vector.get("termination", {})
-    if termination.get("outcome") != "error_detected":
+    if isinstance(record, ExperimentRecord):
+        record = ExperimentFacts.of(record)
+    if record.outcome != "error_detected":
         return None
-    detection = termination.get("detection") or {}
-    faults = [
-        f for f in record.experiment_data.get("faults", []) if f.get("applied")
-    ]
-    if not faults:
+    applied = [fault.cycle for fault in record.faults if fault.applied]
+    if not applied:
         return None
-    injection = min(int(f["injection_cycle"]) for f in faults)
-    if detection.get("cycle") is None:
+    injection = min(applied)
+    detection_cycle = record.detection_cycle
+    if detection_cycle is None:
         if strict:
             raise MissingDetectionCycle(
                 f"experiment {record.experiment_name!r} was detected but its "
                 f"detection event carries no cycle; cannot compute a latency"
             )
         return None
-    detection_cycle = int(detection["cycle"])
     if detection_cycle < injection:
         raise AnalysisError(
             f"experiment {record.experiment_name!r} detected at cycle "
@@ -138,7 +139,7 @@ def _latency_of(record: ExperimentRecord, strict: bool = False) -> LatencySample
         )
     return LatencySample(
         experiment_name=record.experiment_name,
-        mechanism=detection.get("mechanism", "unknown"),
+        mechanism=record.mechanism,
         injection_cycle=injection,
         detection_cycle=detection_cycle,
     )
@@ -154,11 +155,9 @@ def detection_latencies(
     :class:`MissingDetectionCycle`.
     """
     statistics = LatencyStatistics()
-    for record in db.iter_experiments(campaign_name):
-        if record.experiment_data.get("technique") == "reference":
-            continue
+    for row in campaign_pass(db, campaign_name).rows:
         try:
-            sample = _latency_of(record, strict=True)
+            sample = _latency_of(row, strict=True)
         except MissingDetectionCycle:
             if strict:
                 raise

@@ -10,19 +10,14 @@ measure carries a Clopper–Pearson confidence interval.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from scipy import stats
 
 from ..core.errors import AnalysisError
-from ..core.locations import Location
-from ..db import ExperimentRecord, GoofiDatabase
-from .classify import (
-    CampaignClassification,
-    Classification,
-    classify_campaign,
-)
+from ..db import GoofiDatabase
+from .classify import CampaignClassification, ExperimentFacts, campaign_pass
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,18 +86,8 @@ def mechanism_shares(classification: CampaignClassification) -> dict[str, Propor
 # ----------------------------------------------------------------------
 # Per-location and per-time breakdowns
 # ----------------------------------------------------------------------
-def _first_fault_location(record: ExperimentRecord) -> str | None:
-    faults = record.experiment_data.get("faults") or []
-    if not faults:
-        return None
-    return Location.from_dict(faults[0]["location"]).element_key
-
-
-def _first_fault_cycle(record: ExperimentRecord) -> int | None:
-    faults = record.experiment_data.get("faults") or []
-    if not faults:
-        return None
-    return int(faults[0]["injection_cycle"])
+def _first_fault_location(row: ExperimentFacts) -> str | None:
+    return row.faults[0].element if row.faults else None
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,27 +120,26 @@ def _aggregate(
     campaigns of any length); ``label`` renders a key into the displayed
     group name.
     """
-    groups: dict = defaultdict(list)
+    groups: dict = defaultdict(Counter)
     for group, classification in pairs:
-        groups[group].append(classification)
-    breakdowns = []
-    for group in sorted(groups):
-        members = groups[group]
-        counts = {
-            category: sum(1 for m in members if m.category == category)
-            for category in ("detected", "escaped", "latent", "overwritten")
-        }
-        breakdowns.append(
-            GroupBreakdown(
-                group=label(group),
-                total=len(members),
-                detected=counts["detected"],
-                escaped=counts["escaped"],
-                latent=counts["latent"],
-                overwritten=counts["overwritten"],
-            )
+        groups[group][classification.category] += 1
+    return [
+        GroupBreakdown(
+            group=label(group),
+            total=sum(groups[group].values()),
+            detected=groups[group]["detected"],
+            escaped=groups[group]["escaped"],
+            latent=groups[group]["latent"],
+            overwritten=groups[group]["overwritten"],
         )
-    return breakdowns
+        for group in sorted(groups)
+    ]
+
+
+def _classified_groups(db: GoofiDatabase, campaign_name: str, key) -> list[tuple]:
+    """(``key(row)``, verdict) for every classified row that has a key."""
+    rows = campaign_pass(db, campaign_name).classified()
+    return [(group, row.verdict) for row in rows if (group := key(row)) is not None]
 
 
 def per_location_breakdown(
@@ -163,17 +147,17 @@ def per_location_breakdown(
 ) -> list[GroupBreakdown]:
     """Outcome mix per injected location element (register, cache line,
     memory word, ...)."""
-    classification = classify_campaign(db, campaign_name)
-    by_name = {c.experiment_name: c for c in classification.classifications}
-    pairs: list[tuple[str, Classification]] = []
-    for record in db.iter_experiments(campaign_name):
-        verdict = by_name.get(record.experiment_name)
-        if verdict is None:
-            continue
-        group = _first_fault_location(record)
-        if group is not None:
-            pairs.append((group, verdict))
-    return _aggregate(pairs)
+    return _aggregate(_classified_groups(db, campaign_name, _first_fault_location))
+
+
+def _location_group(row: ExperimentFacts) -> str | None:
+    key = _first_fault_location(row)
+    if key is None:
+        return None
+    if key.startswith("memory:"):
+        return "memory"
+    _chain, _, element = key.partition(":")
+    return element.split(".")[0]
 
 
 def per_group_breakdown(
@@ -182,39 +166,16 @@ def per_group_breakdown(
     """Outcome mix per location *group* (``regs``, ``ctrl``, ``icache``,
     ``dcache``, ``pins``, ``memory``) — the granularity at which the
     paper's analysis examples speak."""
-    pairs: list[tuple[str, Classification]] = []
-    classification = classify_campaign(db, campaign_name)
-    by_name = {c.experiment_name: c for c in classification.classifications}
-    for record in db.iter_experiments(campaign_name):
-        verdict = by_name.get(record.experiment_name)
-        if verdict is None:
-            continue
-        key = _first_fault_location(record)
-        if key is None:
-            continue
-        if key.startswith("memory:"):
-            group = "memory"
-        else:
-            _chain, _, element = key.partition(":")
-            group = element.split(".")[0]
-        pairs.append((group, verdict))
-    return _aggregate(pairs)
+    return _aggregate(_classified_groups(db, campaign_name, _location_group))
 
 
 def per_time_breakdown(
     db: GoofiDatabase, campaign_name: str, bins: int = 10
 ) -> list[GroupBreakdown]:
     """Outcome mix across the injection-time axis, in equal cycle bins."""
-    classification = classify_campaign(db, campaign_name)
-    by_name = {c.experiment_name: c for c in classification.classifications}
-    cycles: list[tuple[int, Classification]] = []
-    for record in db.iter_experiments(campaign_name):
-        verdict = by_name.get(record.experiment_name)
-        if verdict is None:
-            continue
-        cycle = _first_fault_cycle(record)
-        if cycle is not None:
-            cycles.append((cycle, verdict))
+    cycles = _classified_groups(
+        db, campaign_name, lambda row: row.faults[0].cycle if row.faults else None
+    )
     if not cycles:
         return []
     top = max(cycle for cycle, _ in cycles) + 1

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from ..core.errors import AnalysisError
 from ..db import GoofiDatabase, HistoryRecord
 from .classify import classify_campaign
+from .gates import LATENCY_STATISTICS
 from .latency import detection_latencies
 from .measures import detection_coverage
 from .telemetry_report import phase_breakdown, throughput_summary
@@ -95,14 +96,9 @@ def run_summary(
             "ci_low": coverage.ci_low,
             "ci_high": coverage.ci_high,
         },
-        "latency": {
-            "count": latency.count,
-            "mean": _none_if_nan(latency.mean),
-            "p50": _none_if_nan(latency.median),
-            "p90": _none_if_nan(latency.percentile(90)),
-            "p95": _none_if_nan(latency.percentile(95)),
-            "p99": _none_if_nan(latency.percentile(99)),
-            "max": _none_if_nan(latency.maximum),
+        "latency": {"count": latency.count} | {
+            key: _none_if_nan(statistic(latency))
+            for key, statistic in LATENCY_STATISTICS.items()
         },
         "outcomes": {
             "total": classification.total,
@@ -179,20 +175,20 @@ class TrendResult:
         }
 
 
+def summary_value(summary: dict, *path: str):
+    """The value at ``path`` in a run summary; ``None`` where absent."""
+    for key in path:
+        summary = summary.get(key) if isinstance(summary, dict) else None
+    return summary
+
+
 def _baseline_values(baselines: list[dict], *path: str) -> list[float]:
-    values = []
-    for summary in baselines:
-        node = summary
-        for key in path:
-            if not isinstance(node, dict) or node.get(key) is None:
-                node = None
-                break
-            node = node[key]
-        if isinstance(node, (int, float)) and not (
-            isinstance(node, float) and math.isnan(node)
-        ):
-            values.append(float(node))
-    return values
+    values = [summary_value(summary, *path) for summary in baselines]
+    return [
+        float(value) for value in values
+        if isinstance(value, (int, float))
+        and not (isinstance(value, float) and math.isnan(value))
+    ]
 
 
 def evaluate_trend(current: dict, baselines: list[dict]) -> TrendResult:

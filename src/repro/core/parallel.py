@@ -78,12 +78,11 @@ def _worker_main(
     spec_dicts,
     result_queue,
     abort_event,
+    shared_descriptor,
     checkpoints=False,
     checkpoint_capacity=None,
     fast=True,
     telemetry_mode=MODE_OFF,
-    probes_payload=None,
-    shared_descriptor=None,
     resources_payload=None,
     profile=False,
 ):
@@ -116,21 +115,15 @@ def _worker_main(
     :class:`~repro.core.telemetry.Telemetry` (never a file or database
     sink — persistence stays with the single-writer coordinator).
 
-    With ``shared_descriptor`` the worker attaches the coordinator's
-    one-time shared-state publication (:mod:`repro.core.sharedstate`) —
-    the reference trace, golden probe snapshots, and fault-free initial
-    image — instead of re-deriving them locally: no per-worker
-    ``phase.reference`` re-run, golden chain images read zero-copy from
-    the shared segment (or from the inline serialising-fallback
-    payload), and the checkpoint cache starts pre-seeded with the armed
-    cycle-0 image.  The whole setup is timed as
-    ``phase.worker_startup``.
-
-    With ``probes_payload`` (``{"config": ..., "golden": ...}``) and no
-    shared descriptor, the worker rebuilds a local probe session around
-    the coordinator's golden snapshots — the snapshots are
-    deterministic, so every worker diffs against the very same
-    fault-free images.
+    ``shared_descriptor`` names the coordinator's one-time shared-state
+    publication (:mod:`repro.core.sharedstate`): a shared-memory
+    segment, or the same content inline when shared memory is off.  The
+    worker attaches it for the reference trace, golden probe snapshots,
+    and fault-free initial image instead of re-deriving them locally:
+    no per-worker ``phase.reference`` re-run, golden chain images read
+    zero-copy from the shared segment (or from the inline payload), and
+    the checkpoint cache starts pre-seeded with the armed cycle-0 image.
+    The whole setup is timed as ``phase.worker_startup``.
     """
     shared_view = None
     try:
@@ -159,45 +152,30 @@ def _worker_main(
                     if checkpoint_capacity
                     else CheckpointCache()
                 )
+            shared_view = sharedstate.SharedStateView.attach(shared_descriptor)
+            meta = shared_view.meta
+            trace = ReferenceTrace.from_payload(meta["trace"])
             probes = None
-            if shared_descriptor is not None:
-                shared_view = sharedstate.SharedStateView.attach(shared_descriptor)
-                meta = shared_view.meta
-                trace = ReferenceTrace.from_payload(meta["trace"])
-                probes_meta = meta.get("probes")
-                if probes_meta is not None:
-                    probes = ProbeSession.create(
-                        target,
-                        lambda: algorithms._prepare_target(
-                            config, faulty_environment=False
-                        ),
-                        config.termination,
-                        ProbeConfig.from_dict(probes_meta["config"]),
-                        golden=GoldenSnapshots.from_shared(
-                            probes_meta["golden"], shared_view
-                        ),
-                    )
-                    algorithms.probes = probes
-                initial = meta.get("initial")
-                if initial is not None and algorithms.checkpoints is not None:
-                    # The coordinator's armed cycle-0 image: every
-                    # experiment's reset-and-run preamble becomes one
-                    # buffer-copy restore instead.
-                    algorithms.checkpoints.save(0, initial)
-            else:
-                with tele.time("phase.reference"):
-                    _info, trace = algorithms.compute_reference_trace(config)
-                if probes_payload is not None:
-                    probes = ProbeSession.create(
-                        target,
-                        lambda: algorithms._prepare_target(
-                            config, faulty_environment=False
-                        ),
-                        config.termination,
-                        ProbeConfig.from_dict(probes_payload["config"]),
-                        golden=GoldenSnapshots.from_payload(probes_payload["golden"]),
-                    )
-                    algorithms.probes = probes
+            probes_meta = meta.get("probes")
+            if probes_meta is not None:
+                probes = ProbeSession.create(
+                    target,
+                    lambda: algorithms._prepare_target(
+                        config, faulty_environment=False
+                    ),
+                    config.termination,
+                    ProbeConfig.from_dict(probes_meta["config"]),
+                    golden=GoldenSnapshots.from_shared(
+                        probes_meta["golden"], shared_view
+                    ),
+                )
+                algorithms.probes = probes
+            initial = meta.get("initial")
+            if initial is not None and algorithms.checkpoints is not None:
+                # The coordinator's armed cycle-0 image: every
+                # experiment's reset-and-run preamble becomes one
+                # buffer-copy restore instead.
+                algorithms.checkpoints.save(0, initial)
             run_experiment = algorithms.experiment_runner(config.technique)
         if sampler is not None:
             sampler.sample("worker_startup")
@@ -513,12 +491,11 @@ class ParallelCampaignRunner:
                     [spec.to_dict() for spec in shard],
                     result_queue,
                     abort_event,
+                    shared_descriptor,
                     use_checkpoints,
                     algorithms.checkpoint_capacity,
                     fast,
                     tele.mode,
-                    None,  # probes_payload — superseded by the descriptor
-                    shared_descriptor,
                     (
                         algorithms.resource_config.to_dict()
                         if algorithms.resource_config is not None
@@ -707,6 +684,7 @@ class ParallelCampaignRunner:
                     for span in payload:
                         # Lane annotation for the trace export.
                         span.setdefault("worker", worker_id)
+                    tele.write_spans(payload)
                     if bus.enabled:
                         for span in payload:
                             bus.emit(

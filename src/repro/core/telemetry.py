@@ -387,8 +387,15 @@ class Telemetry:
 
     def _collect(self, record: dict) -> None:
         self._spans.append(record)
+        self.write_spans([record])
+
+    def write_spans(self, records: list[dict]) -> None:
+        """Stream span records to the JSONL sink, if one is configured:
+        this handle's own as they finish, and those a parallel
+        coordinator receives from its workers."""
         if self.jsonl_path is not None:
-            self._write_jsonl({"kind": "span", **record})
+            for record in records:
+                self._write_jsonl({"kind": "span", **record})
 
     def drain_spans(self) -> list[dict]:
         """Hand over (and forget) the span records finished since the

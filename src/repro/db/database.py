@@ -45,6 +45,8 @@ class GoofiDatabase:
     def __init__(self, path: str | Path = ":memory:") -> None:
         self.path = str(path)
         self._conn = sqlite3.connect(self.path)
+        #: The one :meth:`memoised` entry: ``(token, value)`` or ``None``.
+        self._memo: tuple | None = None
         self._conn.execute("PRAGMA foreign_keys = ON")
         # Write-ahead logging: campaign flushes commit without waiting
         # for the rollback journal's double write, and analysis readers
@@ -86,6 +88,7 @@ class GoofiDatabase:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
+        self._memo = None
         self._conn.close()
 
     def __enter__(self) -> "GoofiDatabase":
@@ -93,6 +96,27 @@ class GoofiDatabase:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+    def memoised(self, key, compute):
+        """``compute()``, reused until the stored data changes.
+
+        One entry is kept, keyed on ``key``, ``PRAGMA data_version`` and
+        the connection's ``total_changes``.  ``data_version`` moves
+        whenever another connection commits to the file;
+        ``total_changes`` moves on every row this connection inserts,
+        updates or deletes, committed or not.  Rows change no other way,
+        so a hit is exactly what ``compute()`` would build now.
+        ``compute`` must only read.
+        """
+        token = (
+            key,
+            self._conn.execute("PRAGMA data_version").fetchone()[0],
+            self._conn.total_changes,
+        )
+        if self._memo is None or self._memo[0] != token:
+            self._memo = None  # free the old entry before building the new
+            self._memo = (token, compute())
+        return self._memo[1]
 
     @contextmanager
     def transaction(self) -> Iterator[sqlite3.Connection]:

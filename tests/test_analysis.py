@@ -91,6 +91,20 @@ class TestStateDifference:
         observed = dict(REFERENCE_STATE["final"], cycle=999)
         assert state_difference(REFERENCE_STATE["final"], observed) == ()
 
+    def test_pre_flattened_reference_gives_same_keys(self):
+        from repro.analysis.classify import _comparable_state
+
+        reference = REFERENCE_STATE["final"]
+        flat = _comparable_state(reference)
+        for observed in (
+            reference,
+            {"scan": {"internal:regs.R1": 11}, "memory": {"16384": 5, "16388": 1}},
+            {"scan": {"internal:regs.R1": 10, "internal:regs.R2": 20}},
+        ):
+            assert state_difference(reference, observed, flat) == state_difference(
+                reference, observed
+            )
+
 
 class TestClassifyExperiment:
     def test_detected(self):
@@ -347,3 +361,276 @@ class TestTimeBreakdownBinOrdering:
             assert entry.group == entry.group.replace(" ,", ",")
             start, end = entry.group.strip("[)").split(", ")
             assert int(end) - int(start) > 0
+
+
+# ----------------------------------------------------------------------
+# The single analysis pass: every view reads one memoised pass
+# ----------------------------------------------------------------------
+def stored_campaign(records=(), path=":memory:"):
+    """A database holding campaign ``camp``: its reference row plus
+    ``records``."""
+    from repro.db import CampaignRecord, GoofiDatabase, TargetSystemRecord, reference_name
+
+    db = GoofiDatabase(path)
+    db.save_target(TargetSystemRecord(target_name="t", test_card_name="c", config={}))
+    db.save_campaign(CampaignRecord(campaign_name="camp", target_name="t", config={}))
+    db.save_experiment(
+        ExperimentRecord(
+            experiment_name=reference_name("camp"),
+            campaign_name="camp",
+            experiment_data={"technique": "reference", "workload": "w"},
+            state_vector=REFERENCE_STATE,
+        )
+    )
+    db.save_experiments(list(records))
+    return db
+
+
+def detected(name, detection_cycle, injection_cycle=50):
+    return experiment(
+        name,
+        outcome="error_detected",
+        detection={"mechanism": "icache_parity", "cycle": detection_cycle, "pc": 0},
+        cycle=injection_cycle,
+    )
+
+
+def direct_per_row(db, name):
+    """The views' inputs computed row by row, without the pass:
+    (verdict, record) pairs, latency samples and skipped count."""
+    from repro.analysis.latency import MissingDetectionCycle, _latency_of
+    from repro.db import reference_name
+
+    reference = db.load_experiment(reference_name(name))
+    pairs, samples, skipped = [], [], 0
+    for record in db.iter_experiments(name):
+        if record.experiment_data.get("technique") == "reference":
+            continue
+        pairs.append((classify_experiment(reference.state_vector, record), record))
+        try:
+            sample = _latency_of(record, strict=True)
+        except MissingDetectionCycle:
+            skipped += 1
+            continue
+        if sample is not None:
+            samples.append(sample)
+    return pairs, samples, skipped
+
+
+def direct_breakdown(pairs, key, label=str):
+    """Per-group outcome counts over the first fault, from raw rows."""
+    from collections import Counter
+
+    from repro.analysis.measures import GroupBreakdown
+
+    groups: dict = {}
+    for verdict, record in pairs:
+        faults = record.experiment_data.get("faults") or []
+        if faults:
+            groups.setdefault(key(faults[0]), Counter())[verdict.category] += 1
+    return [
+        GroupBreakdown(
+            label(group), sum(counts.values()), counts["detected"],
+            counts["escaped"], counts["latent"], counts["overwritten"],
+        )
+        for group, counts in sorted(groups.items())
+    ]
+
+
+def element_of(fault):
+    from repro.core.locations import Location
+
+    return Location.from_dict(fault["location"]).element_key
+
+
+def group_of(fault):
+    key = element_of(fault)
+    return "memory" if key.startswith("memory:") else key.partition(":")[2].split(".")[0]
+
+
+class TestSinglePassEquivalence:
+    CAMPAIGNS = {
+        "scifi": dict(
+            workload="bubble_sort", num_experiments=60, seed=5,
+            locations=("internal:regs.*", "internal:icache.*", "internal:ctrl.*"),
+        ),
+        "swifi": dict(
+            workload="matmul", technique="swifi_preruntime", num_experiments=60,
+            seed=9, locations=("memory:data",),
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(CAMPAIGNS))
+    def test_views_equal_direct_per_row_computation(self, session, kind):
+        import re
+
+        from tests.conftest import make_campaign
+        from repro.analysis import (
+            campaign_report,
+            detection_latencies,
+            export_rows,
+            format_classification,
+            format_latency_report,
+            format_measures,
+            render_campaign_report,
+        )
+        from repro.analysis.latency import LatencyStatistics
+        from repro.analysis.reports import format_breakdowns
+
+        make_campaign(session, "c", **self.CAMPAIGNS[kind])
+        session.run_campaign("c", prune=True)
+        db = session.db
+        pairs, samples, skipped = direct_per_row(db, "c")
+        direct = CampaignClassification("c", [verdict for verdict, _ in pairs])
+        # The campaigns cover every outcome between them, and pruned rows.
+        assert sum(record.pruned for _, record in pairs) > 0
+        assert direct.escaped and direct.latent and direct.overwritten
+        if kind == "scifi":
+            assert direct.detected and samples
+
+        assert classify_campaign(db, "c").summary() == direct.summary()
+        assert classify_campaign(db, "c").classifications == direct.classifications
+        statistics = detection_latencies(db, "c")
+        assert (statistics.samples, statistics.skipped) == (samples, skipped)
+
+        by_location = direct_breakdown(pairs, element_of)
+        by_group = direct_breakdown(pairs, group_of)
+        top = max(r.experiment_data["faults"][0]["injection_cycle"] for _, r in pairs) + 1
+        width = max(1, -(-top // 8))
+        by_time = direct_breakdown(
+            pairs, lambda fault: fault["injection_cycle"] // width,
+            label=lambda index: f"[{index * width}, {(index + 1) * width})",
+        )
+        assert per_location_breakdown(db, "c") == by_location
+        assert per_group_breakdown(db, "c") == by_group
+        assert per_time_breakdown(db, "c", bins=8) == by_time
+
+        sections = [
+            format_classification(direct), "", format_measures(direct), "",
+            format_breakdowns(by_group, "Outcome mix per location group:"), "",
+            format_breakdowns(by_time, "Outcome mix per injection-time bin (cycles):"),
+        ]
+        if direct.detected:
+            sections += ["", format_latency_report(
+                LatencyStatistics(samples, skipped), "Detection latency (cycles):"
+            )]
+        assert campaign_report(db, "c") == "\n".join(sections)
+
+        rendered = re.findall(r'<section id="(\w+)">', render_campaign_report(db, "c"))
+        assert rendered == ["overview", "coverage"] + (["latency"] if samples else [])
+
+        latencies = {sample.experiment_name: sample.latency for sample in samples}
+        assert [
+            (row["experiment"], row["category"], row["detection_latency"])
+            for row in export_rows(db, "c")
+        ] == [
+            (record.experiment_name, verdict.category,
+             latencies.get(record.experiment_name, ""))
+            for verdict, record in pairs
+        ]
+
+    def test_views_share_one_pass(self, tmp_path):
+        from repro.analysis import campaign_report, detection_latencies, render_campaign_report
+        from repro.analysis.classify import campaign_pass
+
+        db = stored_campaign(
+            [detected("camp/e0", 60), experiment("camp/e1", outputs=[])],
+            path=tmp_path / "one.db",
+        )
+        reads = []
+        iter_experiments = db.iter_experiments
+        db.iter_experiments = lambda name: reads.append(name) or iter_experiments(name)
+        first = campaign_pass(db, "camp")
+        classify_campaign(db, "camp")
+        campaign_report(db, "camp")
+        detection_latencies(db, "camp")
+        render_campaign_report(db, "camp")
+        assert campaign_pass(db, "camp") is first
+        assert reads == ["camp"]
+
+
+class TestSinglePassMemo:
+    def test_new_result_after_save_experiments(self):
+        db = stored_campaign([experiment("camp/e0")])
+        assert classify_campaign(db, "camp").total == 1
+        db.save_experiments([experiment("camp/e1", outputs=[])])
+        result = classify_campaign(db, "camp")
+        assert (result.total, result.escaped) == (2, 1)
+
+    def test_new_result_after_replace_experiment(self):
+        db = stored_campaign([experiment("camp/e0")])
+        assert classify_campaign(db, "camp").overwritten == 1
+        db.replace_experiment(detected("camp/e0", 60))
+        assert classify_campaign(db, "camp").detected == 1
+        from repro.analysis import detection_latencies
+
+        assert [s.latency for s in detection_latencies(db, "camp").samples] == [10]
+
+    def test_new_result_after_delete_campaign_experiments(self):
+        from repro.analysis import detection_latencies
+        from repro.db import DatabaseError
+
+        db = stored_campaign([detected("camp/e0", 60)])
+        assert detection_latencies(db, "camp").count == 1
+        db.delete_campaign_experiments("camp")
+        assert detection_latencies(db, "camp").count == 0
+        with pytest.raises(DatabaseError, match="no experiment"):
+            classify_campaign(db, "camp")
+
+    def test_new_result_after_commit_by_another_connection(self, tmp_path):
+        from repro.db import GoofiDatabase
+
+        path = tmp_path / "shared.db"
+        db = stored_campaign([experiment("camp/e0")], path=path)
+        assert classify_campaign(db, "camp").total == 1
+        with GoofiDatabase(path) as other:
+            other.save_experiments([experiment("camp/e1", outputs=[])])
+        result = classify_campaign(db, "camp")
+        assert (result.total, result.escaped) == (2, 1)
+
+    def test_mutating_a_result_does_not_leak(self):
+        from repro.analysis import detection_latencies
+
+        db = stored_campaign([detected("camp/e0", 60), experiment("camp/e1")])
+        classify_campaign(db, "camp").classifications.clear()
+        detection_latencies(db, "camp").samples.clear()
+        assert classify_campaign(db, "camp").total == 2
+        assert detection_latencies(db, "camp").count == 1
+
+
+class TestSinglePassErrorPlacement:
+    def test_detection_before_injection(self):
+        from repro.analysis import detection_latencies
+
+        db = stored_campaign([detected("camp/e0", 40, injection_cycle=50)])
+        assert classify_campaign(db, "camp").detected == 1
+        with pytest.raises(AnalysisError, match="before its injection"):
+            detection_latencies(db, "camp")
+
+    def test_missing_detection_cycle(self):
+        from repro.analysis import detection_latencies
+        from repro.analysis.latency import MissingDetectionCycle
+
+        db = stored_campaign([detected("camp/e0", None), detected("camp/e1", 70)])
+        assert classify_campaign(db, "camp").detected == 2
+        statistics = detection_latencies(db, "camp")
+        assert (statistics.count, statistics.skipped) == (1, 1)
+        with pytest.raises(MissingDetectionCycle, match="no cycle"):
+            detection_latencies(db, "camp", strict=True)
+
+    def test_classification_errors_stay_in_classification(self):
+        """A row ``classify_campaign`` rejects still yields latencies,
+        and a campaign without a reference row still has latencies."""
+        from repro.analysis import detection_latencies
+        from repro.db import DatabaseError
+
+        db = stored_campaign([experiment("camp/e0", outcome="vaporised"),
+                              detected("camp/e1", 70)])
+        with pytest.raises(AnalysisError, match="unknown outcome"):
+            classify_campaign(db, "camp")
+        assert detection_latencies(db, "camp").count == 1
+        db.delete_campaign_experiments("camp")
+        db.save_experiments([detected("camp/e2", 80)])
+        with pytest.raises(DatabaseError):
+            classify_campaign(db, "camp")
+        assert detection_latencies(db, "camp").count == 1

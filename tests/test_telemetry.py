@@ -377,6 +377,31 @@ class TestPersistence:
         assert len(spans) == result.experiments_run
         assert all(line["experiment"].startswith("ab/") for line in spans)
 
+    def test_jsonl_sink_gets_worker_spans(self, tmp_path, capsys):
+        """``goofi run --telemetry=spans --telemetry-jsonl F`` writes
+        every experiment's span whatever the worker count: the
+        coordinator relays the spans its workers send to the sink."""
+        db = str(tmp_path / "w.db")
+        assert cli_main([
+            "campaign", "create", "--db", db, "--name", "c",
+            "--workload", "fibonacci", "--experiments", "20",
+        ]) == 0
+        span_names = {}
+        for workers in (1, 2):
+            jsonl = tmp_path / f"tele-w{workers}.jsonl"
+            assert cli_main([
+                "run", "c", "--db", db, "--quiet", "--telemetry=spans",
+                "--telemetry-jsonl", str(jsonl), "--workers", str(workers),
+            ]) == 0
+            lines = [json.loads(line) for line in jsonl.read_text().splitlines()]
+            spans = [line["experiment"] for line in lines if line["kind"] == "span"]
+            assert len(spans) == 20
+            assert lines[-1]["kind"] == "metrics"
+            span_names[workers] = set(spans)
+        capsys.readouterr()
+        assert span_names[1] == span_names[2]
+        assert len(span_names[1]) == 20
+
     def test_reader_skips_truncated_final_line(self, tmp_path, caplog):
         """A writer killed mid-line (power cut, SIGKILL) must not make
         the file unreadable: the shared JSONL reader drops the
