@@ -114,7 +114,7 @@ def resource_summary(samples: list[dict]) -> dict:
 
 
 def _worker_label(worker: int) -> str:
-    # The serial loop and the parallel coordinator sample as well;
+    # A parallel run's coordinator samples its own process as well;
     # COORDINATOR_WORKER (-1) reads better spelled out.
     return "coordinator" if worker < 0 else f"worker {worker}"
 

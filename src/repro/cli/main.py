@@ -806,8 +806,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="worker processes running experiments (default: 1, the serial "
-             "loop; results are identical for any worker count)",
+        help="worker processes running experiments, at least 1 (default: 1, "
+             "in the coordinator's own process; results are identical for "
+             "any worker count)",
     )
     run.add_argument(
         "--checkpoints",

@@ -105,7 +105,7 @@ from .packs import (
     replay_function,
     save_pack,
 )
-from .parallel import ParallelCampaignRunner, WorkerFailure
+from .parallel import WorkerFailure
 from .preinjection import LivenessAnalysis, PreInjectionFilter
 from .probes import (
     DEFAULT_PROBE_PERIOD,

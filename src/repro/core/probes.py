@@ -558,7 +558,6 @@ class ProbeSession:
 
     def drain(self) -> list[dict]:
         """Hand over (and forget) the summaries finished since the last
-        drain — the campaign loop persists them alongside experiment
-        batches; parallel workers ship them with each result."""
+        drain — the shard loop ships them with each result."""
         pending, self._pending = self._pending, []
         return pending

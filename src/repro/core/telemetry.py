@@ -387,20 +387,18 @@ class Telemetry:
 
     def _collect(self, record: dict) -> None:
         self._spans.append(record)
-        self.write_spans([record])
 
     def write_spans(self, records: list[dict]) -> None:
-        """Stream span records to the JSONL sink, if one is configured:
-        this handle's own as they finish, and those a parallel
-        coordinator receives from its workers."""
+        """Stream span records to the JSONL sink, if one is configured.
+        The campaign coordinator calls this for every span it ingests,
+        whichever executor recorded it."""
         if self.jsonl_path is not None:
             for record in records:
                 self._write_jsonl({"kind": "span", **record})
 
     def drain_spans(self) -> list[dict]:
         """Hand over (and forget) the span records finished since the
-        last drain — the campaign loop persists them in batches; the
-        parallel workers ship them with each result message."""
+        last drain — the shard loop ships them with each result."""
         spans, self._spans = self._spans, []
         return spans
 

@@ -177,7 +177,7 @@ class GoofiSession:
         :mod:`repro.core.resources`.  ``profile=True`` wraps each
         worker's experiment loop in :mod:`cProfile` and persists the
         aggregated hotspot summary for ``goofi stats --profile``.
-        Logged rows are identical to the plain serial loop in all
+        Logged rows are identical to a plain one-worker run in all
         cases."""
         return self.algorithms.run_campaign(
             campaign_name,

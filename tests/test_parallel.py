@@ -13,7 +13,7 @@ import pytest
 
 from tests.conftest import make_campaign
 from repro.core.errors import ConfigurationError
-from repro.core.parallel import ParallelCampaignRunner, WorkerFailure
+from repro.core.parallel import WorkerFailure
 
 
 def rows_by_name(db, campaign: str) -> dict:
@@ -218,15 +218,32 @@ class TestWorkerFailure:
 
 class TestRunnerValidation:
     def test_workers_must_be_positive(self, session):
-        with pytest.raises(ConfigurationError, match="workers"):
-            ParallelCampaignRunner(session.algorithms, workers=0)
+        make_campaign(session, "c", num_experiments=4, seed=99)
+        for workers in (0, -3):
+            with pytest.raises(ConfigurationError, match="workers"):
+                session.run_campaign("c", workers=workers)
+        # Rejected before anything runs: not even the reference row.
+        assert session.db.count_experiments("c") == 0
 
     def test_coordinator_requires_database(self, session):
         from repro.core.algorithms import FaultInjectionAlgorithms
 
         db_less = FaultInjectionAlgorithms(session.target, db=None)
-        with pytest.raises(ConfigurationError, match="database"):
-            ParallelCampaignRunner(db_less, workers=2)
+        for workers in (1, 2):
+            with pytest.raises(ConfigurationError, match="database"):
+                db_less.run_campaign("c", workers=workers)
+
+    def test_nonpositive_workers_flag_exits_1(self, tmp_path, capsys):
+        from repro.cli.main import main
+
+        db = str(tmp_path / "p.db")
+        assert main([
+            "campaign", "create", "--db", db, "--name", "c",
+            "--workload", "fibonacci", "--experiments", "6",
+        ]) == 0
+        for workers in ("0", "-3"):
+            assert main(["run", "--db", db, "c", "--quiet", "--workers", workers]) == 1
+            assert "workers must be" in capsys.readouterr().err
 
     def test_workers_flag_via_cli(self, tmp_path, capsys):
         from repro.cli.main import main
