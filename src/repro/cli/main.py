@@ -46,7 +46,8 @@ from ..core import (
     registered_techniques,
 )
 from ..core.errors import GoofiError
-from ..db import DatabaseError
+from ..db import DatabaseError, GoofiDatabase
+from ..targets.thor.interface import TARGET_NAME
 
 
 def _add_db_argument(parser: argparse.ArgumentParser) -> None:
@@ -57,9 +58,20 @@ def _add_db_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _session(args: argparse.Namespace, with_progress: bool = False) -> GoofiSession:
+def _session(
+    args: argparse.Namespace, with_progress: bool = False, campaign: str | None = None
+) -> GoofiSession:
+    """A session on the target the stored ``campaign`` names, else on
+    ``--target``, else on the default target."""
     progress = ProgressReporter(observers=[console_observer]) if with_progress else None
-    return GoofiSession(args.db, progress=progress)
+    target_name = getattr(args, "target", TARGET_NAME)
+    if campaign is not None:
+        with GoofiDatabase(args.db) as db:
+            try:
+                target_name = db.load_campaign(campaign).target_name
+            except DatabaseError:
+                pass  # the command itself reports the missing campaign
+    return GoofiSession(args.db, target_name=target_name, progress=progress)
 
 
 # ----------------------------------------------------------------------
@@ -331,7 +343,8 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    with _session(args, with_progress=not args.quiet) as session:
+    campaign = None if args.pack else args.campaign
+    with _session(args, with_progress=not args.quiet, campaign=campaign) as session:
         campaign_name = args.campaign
         if args.pack:
             _pack, config = _setup_pack_campaign(session, args)
@@ -538,7 +551,7 @@ def cmd_campaign_plan(args: argparse.Namespace) -> int:
     plan without injecting anything."""
     from ..core.campaign import PlanGenerator
 
-    with _session(args) as session:
+    with _session(args, campaign=args.name) as session:
         config = session.algorithms.read_campaign_data(args.name)
         trace = session.algorithms.make_reference_run(config)
         plan = PlanGenerator(
@@ -559,7 +572,9 @@ def cmd_campaign_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_rerun(args: argparse.Namespace) -> int:
-    with _session(args) as session:
+    # An experiment is named "<campaign>/<experiment>".
+    campaign = args.experiment.split("/", 1)[0]
+    with _session(args, campaign=campaign) as session:
         record = session.algorithms.rerun_experiment_detailed(args.experiment)
         steps = len(record.state_vector.get("steps", []))
         print(

@@ -27,7 +27,7 @@ import time
 from contextlib import closing
 from dataclasses import dataclass
 
-from ..db import ProbeRecord, ResourceSampleRecord, SpanRecord
+from ..db import DatabaseError, ProbeRecord, ResourceSampleRecord, SpanRecord
 from .campaign import CampaignConfig, PlanGenerator
 from .checkpoint import (
     DEFAULT_CHECKPOINT_CAPACITY,
@@ -221,6 +221,8 @@ class Coordinator:
                 self.probes.golden.liveness = liveness_map(trace)
             self._sample("golden")
         remaining = [spec for spec in plan if spec.name not in already_logged]
+        # Planned experiments only: the logged reference run is not one.
+        logged = len(plan) - len(remaining)
         prune_plan = None
         if options.prune is not None:
             with tele.time("phase.prune"):
@@ -272,7 +274,7 @@ class Coordinator:
                 technique=config.technique,
                 workload=config.workload,
                 planned=len(plan),
-                already_logged=len(already_logged),
+                already_logged=logged,
                 pruned=len(prune_plan.pruned_specs) if prune_plan is not None else 0,
                 to_run=len(remaining),
                 workers=workers,
@@ -300,7 +302,7 @@ class Coordinator:
             "campaign %r: %d experiments to run (%d already logged) on %d worker(s)%s",
             config.name,
             len(remaining),
-            len(already_logged),
+            logged,
             workers,
             ", checkpointing" if options.checkpoints else "",
         )
@@ -549,6 +551,7 @@ class Coordinator:
             profile = profile_summary(
                 merge_profile_stats(self.profiles), workers=len(self.profiles)
             )
+        elapsed = self.progress.elapsed_seconds
         snapshot = None
         if tele.enabled:
             metrics = tele.metrics
@@ -557,7 +560,16 @@ class Coordinator:
             fold_engine_stats(metrics, self.algorithms.target)
             for key, value in (self.checkpoint_stats or {}).items():
                 metrics.inc(f"checkpoint.cache.{key}", value)
-            metrics.set_gauge("elapsed_seconds", self.progress.elapsed_seconds)
+            total_elapsed = elapsed
+            if self.options.resume:
+                # A resumed run adds to what the earlier runs recorded.
+                try:
+                    stored = self.db.load_campaign_telemetry(self.config.name)
+                except DatabaseError:
+                    stored = {}  # the earlier runs had telemetry off
+                metrics.merge(stored)
+                total_elapsed += stored.get("gauges", {}).get("elapsed_seconds", 0.0)
+            metrics.set_gauge("elapsed_seconds", total_elapsed)
             snapshot = tele.write_snapshot()
             if profile is not None:
                 # The hotspot summary rides along in the snapshot.
@@ -568,7 +580,7 @@ class Coordinator:
             experiments_run=self.completed,
             experiments_planned=len(self.remaining),
             aborted=self.aborted,
-            elapsed_seconds=self.progress.elapsed_seconds,
+            elapsed_seconds=elapsed,
             checkpoint_stats=self.checkpoint_stats,
             telemetry=snapshot,
             prune=self.prune_plan.report() if self.prune_plan is not None else None,

@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro import CampaignConfig, GoofiSession
+from repro.core.plugins import create_target
+from repro.targets.common import ScanTargetInterface
 from repro.targets.thor import TestCard, ThorTargetInterface
 from repro.targets.thor.assembler import assemble
 
@@ -21,6 +23,12 @@ def card() -> TestCard:
 def target() -> ThorTargetInterface:
     """A fresh Thor target interface."""
     return ThorTargetInterface()
+
+
+@pytest.fixture(params=["thor-rd-sim", "thor-sm"])
+def scan_target(request) -> ScanTargetInterface:
+    """A fresh interface of each built-in scan-chain target."""
+    return create_target(request.param)
 
 
 @pytest.fixture

@@ -148,6 +148,22 @@ class TestCampaignLifecycle:
         finally:
             db.close()
 
+    def test_stack_target_campaign_via_cli(self, db_path, capsys):
+        """``--target`` sets up the campaign on that target; ``run``,
+        ``campaign plan`` and ``rerun`` attach the target the stored
+        campaign names."""
+        assert run_cli(
+            "campaign", "create", "--db", db_path, "--name", "sm",
+            "--target", "thor-sm", "--workload", "s_checksum",
+            "--locations", "internal:*", "--experiments", "6", "--seed", "3",
+        ) == 0
+        assert run_cli("run", "--db", db_path, "sm", "--quiet") == 0
+        assert "6/6 experiments" in capsys.readouterr().out
+        assert run_cli("campaign", "plan", "--db", db_path, "sm") == 0
+        assert "6 experiments planned" in capsys.readouterr().out
+        assert run_cli("rerun", "--db", db_path, "sm/exp00001") == 0
+        assert "re-ran 'sm/exp00001'" in capsys.readouterr().out
+
     def test_preinjection_flag(self, db_path):
         assert run_cli(
             "campaign", "create", "--db", db_path, "--name", "pi",

@@ -197,7 +197,36 @@ class TestEmptyPlan:
         assert [r["kind"] for r in streams[1]] == [
             "campaign_planned", "campaign_started", "campaign_finished",
         ]
+        planned = streams[1][0]
+        assert planned["already_logged"] == planned["planned"] == 6
         assert streams[1] == streams[2]
+
+
+class TestResumedTelemetry:
+    def test_resume_adds_to_the_stored_snapshot(self, session):
+        """A telemetered ``--resume`` keeps what the interrupted run
+        recorded: the stored snapshot covers the whole campaign."""
+        make_campaign(session, "c", num_experiments=24, seed=12)
+
+        def abort_early(event):
+            if event.completed >= 3:
+                session.progress.end()
+
+        session.progress.observers.append(abort_early)
+        try:
+            first = session.run_campaign("c", workers=2, telemetry="metrics")
+        finally:
+            session.progress.observers.remove(abort_early)
+        assert first.aborted and first.experiments_run < 24
+        second = session.run_campaign("c", resume=True, workers=2, telemetry="metrics")
+        assert second.experiments_run == 24 - first.experiments_run
+        stored = session.db.load_campaign_telemetry("c")
+        assert stored["counters"]["experiments"] == 24
+        assert stored["gauges"]["workers"] == 2
+        # Rates in ``goofi stats`` divide by this: it spans both runs.
+        assert stored["gauges"]["elapsed_seconds"] == pytest.approx(
+            first.elapsed_seconds + second.elapsed_seconds
+        )
 
 
 class TestSpawnedWorkers:
